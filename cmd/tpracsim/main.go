@@ -155,6 +155,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tpracsim: unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
+	if err := checkCSVDir(*csvDir); err != nil {
+		fmt.Fprintf(os.Stderr, "tpracsim: -csvdir: %v\n", err)
+		os.Exit(2)
+	}
 	scale.Workers = *workers
 	scale.Serial = *serial
 	scale.PerCycle = *perCycle
@@ -373,6 +377,23 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tpracsim: closing journal: %v\n", err)
 		}
 	}
+}
+
+// checkCSVDir rejects a -csvdir that is not an existing directory, so a
+// typo fails at once instead of after the experiment has run. The empty
+// string (no CSV output) passes.
+func checkCSVDir(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return err
+	}
+	if !fi.IsDir() {
+		return fmt.Errorf("%s is not a directory", dir)
+	}
+	return nil
 }
 
 // runPull serves -pull: the pull-worker loop against a pracsimd daemon.

@@ -67,6 +67,13 @@ func (p Params) ActsPerWindow(window ticks.T) int {
 // the target. budget caps total attack activations (the per-tREFW limit
 // when counters reset; pass 0 for unlimited). It returns the target row's
 // total activations.
+//
+// With budget 0, TACT is non-decreasing in r1. Let w = ActsPerWindow and
+// g(T) = T + r1 - ⌊T/w⌋, the cumulative total after one more round of
+// pool r1. The run for pool r1+1, with its total shifted down by w,
+// follows the same g but starts at -w instead of 0. g is non-decreasing
+// for w >= 1, so the shifted run never overtakes the unshifted one and
+// reaches the stop point T >= (r1-1)·w no sooner: at least as many rounds.
 func (p Params) FeintingTACT(window ticks.T, r1, budget int) int {
 	w := p.ActsPerWindow(window)
 	if w <= 0 || r1 <= 0 {
@@ -99,7 +106,8 @@ func (p Params) FeintingTACT(window ticks.T, r1, budget int) int {
 // OptR1 finds the initial pool size maximizing TACT — Equation (5)'s
 // optimum under the reset budget, or the paper's 1..128K sweep without
 // reset. TACT(r1) is smooth, so a geometric sweep with local refinement
-// replaces the exhaustive scan.
+// replaces the exhaustive scan. The scan serves the reset bound and the
+// empirical attack's pool size; TMax without reset needs no scan.
 func (p Params) OptR1(window ticks.T, reset bool) int {
 	budget := 0
 	limit := p.RowsPerBank
@@ -132,13 +140,15 @@ func (p Params) OptR1(window ticks.T, reset bool) int {
 }
 
 // TMax is the worst-case activations to the target row for a TB-Window,
-// with or without per-tREFW counter reset (the paper's Figure 7).
+// with or without per-tREFW counter reset (the paper's Figure 7). Without
+// reset, TACT is non-decreasing in the pool size (see FeintingTACT), so
+// the largest pool, every row of the bank, attains the maximum OptR1
+// would search for.
 func (p Params) TMax(window ticks.T, reset bool) int {
-	budget := 0
-	if reset {
-		budget = p.MaxActsPerTREFW()
+	if !reset {
+		return p.FeintingTACT(window, p.RowsPerBank, 0)
 	}
-	return p.FeintingTACT(window, p.OptR1(window, reset), budget)
+	return p.FeintingTACT(window, p.OptR1(window, true), p.MaxActsPerTREFW())
 }
 
 // SolveWindow returns the largest TB-Window (a multiple of step) for which

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -208,5 +209,103 @@ func TestEmpiricalFeintingStaysBelowNBO(t *testing.T) {
 func TestEmpiricalFeintingValidation(t *testing.T) {
 	if _, err := RunEmpiricalFeinting(EmpiricalConfig{DRAM: dram.DefaultConfig(256)}); err == nil {
 		t.Error("zero window accepted")
+	}
+}
+
+// Property: without a budget, TACT is non-decreasing in the pool size —
+// the lemma that lets TMax(·, false) skip OptR1's scan.
+func TestFeintingTACTMonotoneInPoolProperty(t *testing.T) {
+	p := DefaultParams()
+	prop := func(wRaw, r1Raw uint32) bool {
+		w := ticks.T(wRaw%700+1) * p.TRC // 1..700 acts per window
+		r1 := int(r1Raw%(1<<17)) + 1     // 1..2^17
+		return p.FeintingTACT(w, r1, 0) <= p.FeintingTACT(w, r1+1, 0)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tmaxByScan is the no-reset TMax as OptR1's pool-size scan computes it:
+// a geometric sweep over 1..RowsPerBank, then a local refinement around
+// the best candidate.
+func tmaxByScan(p Params, window ticks.T) int {
+	limit := p.RowsPerBank
+	best, bestVal := 1, 0
+	try := func(r int) {
+		if v := p.FeintingTACT(window, r, 0); v > bestVal {
+			best, bestVal = r, v
+		}
+	}
+	for r := 1; r <= limit; r = r*5/4 + 1 {
+		try(r)
+	}
+	try(limit)
+	for r := max(best*4/5, 1); r <= best*5/4+1 && r <= limit; r++ {
+		try(r)
+	}
+	return bestVal
+}
+
+// The closed-form no-reset TMax equals the scan on every window step of a
+// scaled-down bank.
+func TestTMaxNoResetMatchesScan(t *testing.T) {
+	p := DefaultParams()
+	p.RowsPerBank = 4096
+	step := p.TREFI / 20
+	for k := 1; k <= 200; k++ {
+		w := ticks.T(k) * step
+		if got, want := p.TMax(w, false), tmaxByScan(p, w); got != want {
+			t.Errorf("window %v: TMax(no reset) = %d, scan = %d", w, got, want)
+		}
+	}
+}
+
+// The solved TB-Windows of the paper's device, with and without counter
+// reset. Figures 10-14 and Table 5 are configured from these.
+func TestSolveWindowGolden(t *testing.T) {
+	p := DefaultParams()
+	for _, tc := range []struct {
+		nbo            int
+		reset, noReset float64 // ns
+	}{
+		{128, 585, 390},
+		{256, 1170, 975},
+		{512, 2730, 2145},
+		{1024, 5850, 4290},
+		{2048, 12870, 8580},
+		{4096, 28470, 17160},
+	} {
+		for _, c := range []struct {
+			reset bool
+			want  float64
+		}{{true, tc.reset}, {false, tc.noReset}} {
+			got, err := p.SolveWindow(tc.nbo, c.reset, 0)
+			if err != nil {
+				t.Fatalf("SolveWindow(%d, reset=%v): %v", tc.nbo, c.reset, err)
+			}
+			if want := ticks.FromNS(c.want); got != want {
+				t.Errorf("SolveWindow(%d, reset=%v) = %v, want %v", tc.nbo, c.reset, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkSolveWindow(b *testing.B) {
+	p := DefaultParams()
+	for _, mode := range []struct {
+		name  string
+		reset bool
+	}{{"reset", true}, {"noreset", false}} {
+		for _, nbo := range []int{128, 256, 512, 1024, 2048, 4096} {
+			b.Run(fmt.Sprintf("%s/nbo=%d", mode.name, nbo), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := p.SolveWindow(nbo, mode.reset, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -66,11 +66,12 @@ type Stats struct {
 	Stalls     int64 // rejected accesses (MSHR/downstream full)
 }
 
+// line packs into 24 bytes: the two words first, then the flags.
 type line struct {
 	tag   uint64
+	lru   uint64
 	valid bool
 	dirty bool
-	lru   uint64
 	rrpv  uint8
 }
 
@@ -83,7 +84,7 @@ type mshr struct {
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg  Config
-	sets [][]line
+	sets [][]line // a set is allocated on first touch; see setOf
 	next Fetcher
 
 	mshrs   map[uint64]*mshr
@@ -110,14 +111,9 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 	case cfg.Latency < 0:
 		return nil, fmt.Errorf("cache %s: negative latency", cfg.Name)
 	}
-	sets := make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return &Cache{
 		cfg:   cfg,
-		sets:  sets,
+		sets:  make([][]line, cfg.Sets),
 		next:  next,
 		mshrs: make(map[uint64]*mshr, cfg.MSHRs),
 	}, nil
@@ -150,7 +146,16 @@ func (c *Cache) NextWork(ticks.T) ticks.T { return ticks.Never }
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(lineAddr uint64) []line { return c.sets[lineAddr&uint64(c.cfg.Sets-1)] }
+// setOf returns the set holding lineAddr, allocating it on first touch:
+// a short run touches a fraction of an 8 MB LLC's sets, and concurrent
+// simulations would otherwise each hold every set live.
+func (c *Cache) setOf(lineAddr uint64) []line {
+	i := lineAddr & uint64(c.cfg.Sets-1)
+	if c.sets[i] == nil {
+		c.sets[i] = make([]line, c.cfg.Ways)
+	}
+	return c.sets[i]
+}
 func (c *Cache) tagOf(lineAddr uint64) uint64 { return lineAddr >> uintLog2(c.cfg.Sets) }
 
 func uintLog2(n int) uint {

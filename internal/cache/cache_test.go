@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,23 @@ func smallCache(t *testing.T, repl ReplKind, next Fetcher) *Cache {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// An 8 MB LLC-shaped level holds no lines until they are touched: only
+// the set table (24 bytes per set) is allocated up front.
+func TestNewAllocatesSetsLazily(t *testing.T) {
+	cfg := Config{Name: "llc", Sets: SetsFor(8*1024*KB, 16, 64), Ways: 16, Latency: 20, Repl: SRRIP, MSHRs: 256}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(cfg, &fakeMem{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(cfg.Sets*24+64*KB); got > limit {
+		t.Errorf("New allocated %d bytes, want at most %d (no lines before first touch)", got, limit)
+	}
+	runtime.KeepAlive(c)
 }
 
 func TestMissThenHit(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"pracsim/internal/analysis"
+	"pracsim/internal/sim"
 	"pracsim/internal/ticks"
 )
 
@@ -217,22 +219,56 @@ func TestRunRFMpbTiny(t *testing.T) {
 }
 
 func TestConfigureVariants(t *testing.T) {
-	cfg, err := configure(Variant{Name: "TPRAC", Policy: 2 /* PolicyTPRAC */, NRH: 1024}, "433.milc")
+	r := newRunner(tinyScale())
+	cfg, err := r.configure(Variant{Name: "TPRAC", Policy: 2 /* PolicyTPRAC */, NRH: 1024}, "433.milc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.TBWindow <= 0 {
 		t.Error("TPRAC variant got no TB-Window")
 	}
-	cfg, err = configure(Variant{Name: "ACB", Policy: 1 /* PolicyACB */, NRH: 1024}, "433.milc")
+	cfg, err = r.configure(Variant{Name: "ACB", Policy: 1 /* PolicyACB */, NRH: 1024}, "433.milc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.BAT < 2 {
 		t.Errorf("ACB variant BAT = %d", cfg.BAT)
 	}
-	if _, err := configure(Variant{Name: "bad", Policy: 2, NRH: 4}, "433.milc"); err == nil {
+	// TPRAC and ACB at one threshold size from the same solve.
+	if n := r.windows.Len(); n != 1 {
+		t.Errorf("%d TB-Window solves for one threshold, want 1", n)
+	}
+	if _, err := r.configure(Variant{Name: "bad", Policy: 2, NRH: 4}, "433.milc"); err == nil {
 		t.Error("unprotectable NRH accepted")
+	}
+}
+
+// A Figure 14 session solves each (NRH, reset) TB-Window once: the four
+// TPRAC variants per threshold need two solves, and the TREF/1 cells
+// reuse their counterparts' windows instead of solving again.
+func TestFig14SolvesOncePerThreshold(t *testing.T) {
+	scale := tinyScale()
+	scale.Workloads = []string{"444.namd"}
+	r := newRunner(scale)
+	if _, err := runFig14(r); err != nil {
+		t.Fatal(err)
+	}
+	p := analysis.ParamsFromDRAM(sim.DefaultSystemConfig(1024).DRAM)
+	nrhs := []int{128, 256, 512, 1024, 2048, 4096}
+	if n, want := r.windows.Len(), 2*len(nrhs); n != want {
+		t.Fatalf("fig14 session memoized %d TB-Window solves, want %d", n, want)
+	}
+	for _, nrh := range nrhs {
+		for _, reset := range []bool{true, false} {
+			resolved := false
+			r.windows.Do(solveKey{p: p, nbo: nrh, reset: reset}, func() (ticks.T, error) {
+				resolved = true
+				return 0, nil
+			})
+			if resolved {
+				t.Errorf("NRH %d reset=%v: window not memoized by the session", nrh, reset)
+			}
+		}
 	}
 }
 

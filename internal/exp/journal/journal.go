@@ -83,23 +83,23 @@ const (
 // omits the fields a type does not use.
 type record struct {
 	Type    string   `json:"t"`
-	Schema  int      `json:"schema,omitempty"`  // open
-	FP      string   `json:"fp,omitempty"`      // open, plan
-	Key     string   `json:"key,omitempty"`     // run
-	Payload []byte   `json:"p,omitempty"`       // run, job (grid spec)
-	Shard   string   `json:"shard,omitempty"`   // shard, lease, ack ("i/n")
-	File    string   `json:"file,omitempty"`    // shard, ack
-	Runs    int      `json:"runs,omitempty"`    // shard, merge, export, job, ack
-	Files   []string `json:"files,omitempty"`   // merge
-	Name    string   `json:"name,omitempty"`    // done (experiment name)
-	Pool    int      `json:"pool,omitempty"`    // scale (surviving worker-pool size)
-	Job     string   `json:"job,omitempty"`     // job, lease, ack (job id)
-	Token   string   `json:"token,omitempty"`   // job (tenant identity)
-	Prio    int      `json:"prio,omitempty"`    // job
-	Status  string   `json:"status,omitempty"`  // job ("" = submitted)
-	Worker  string   `json:"worker,omitempty"`  // lease
-	Msg     string   `json:"msg,omitempty"`     // job (failure detail)
-	Exec    int64    `json:"exec,omitempty"`    // ack (simulations the worker executed)
+	Schema  int      `json:"schema,omitempty"` // open
+	FP      string   `json:"fp,omitempty"`     // open, plan
+	Key     string   `json:"key,omitempty"`    // run
+	Payload []byte   `json:"p,omitempty"`      // run, job (grid spec)
+	Shard   string   `json:"shard,omitempty"`  // shard, lease, ack ("i/n")
+	File    string   `json:"file,omitempty"`   // shard, ack
+	Runs    int      `json:"runs,omitempty"`   // shard, merge, export, job, ack
+	Files   []string `json:"files,omitempty"`  // merge
+	Name    string   `json:"name,omitempty"`   // done (experiment name)
+	Pool    int      `json:"pool,omitempty"`   // scale (surviving worker-pool size)
+	Job     string   `json:"job,omitempty"`    // job, lease, ack (job id)
+	Token   string   `json:"token,omitempty"`  // job (tenant identity)
+	Prio    int      `json:"prio,omitempty"`   // job
+	Status  string   `json:"status,omitempty"` // job ("" = submitted)
+	Worker  string   `json:"worker,omitempty"` // lease
+	Msg     string   `json:"msg,omitempty"`    // job (failure detail)
+	Exec    int64    `json:"exec,omitempty"`   // ack (simulations the worker executed)
 }
 
 // ShardRecord is a journaled per-shard convergence: the validated shard

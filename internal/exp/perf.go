@@ -86,7 +86,7 @@ type Variant struct {
 }
 
 // configure builds the system configuration for a variant and workload.
-func configure(v Variant, workload string) (sim.SystemConfig, error) {
+func (r *runner) configure(v Variant, workload string) (sim.SystemConfig, error) {
 	nrh := v.NRH
 	if nrh <= 0 {
 		nrh = 1024
@@ -101,7 +101,20 @@ func configure(v Variant, workload string) (sim.SystemConfig, error) {
 	cfg.Ctrl.TREFEvery = v.TREFEvery
 	cfg.SkipOnTREF = v.SkipOnTREF
 
+	if v.Policy != sim.PolicyTPRAC && v.Policy != sim.PolicyTPRACpb && v.Policy != sim.PolicyACB {
+		return cfg, nil
+	}
 	p := analysis.ParamsFromDRAM(cfg.DRAM)
+	w, err := r.solveWindow(p, nrh, !v.NoReset)
+	if err != nil {
+		return cfg, fmt.Errorf("exp: variant %s: %w", v.Name, err)
+	}
+	if v.Policy == sim.PolicyACB {
+		// The same worst-case mitigation rate, but activity-triggered:
+		// one RFM per BAT activations of a bank.
+		cfg.BAT = max(p.ActsPerWindow(w), 2)
+		return cfg, nil
+	}
 	// A TB-Window must leave room to actually service one RFM (tRFMab
 	// plus drain) or the RFM debt accrues faster than it retires and the
 	// channel livelocks. Solved windows below the floor are clamped: the
@@ -109,31 +122,23 @@ func configure(v Variant, workload string) (sim.SystemConfig, error) {
 	// NRH=128-without-reset corner reaches (the paper's Section 6.6
 	// observation that disabling counter reset hurts at ultra-low
 	// thresholds, taken to its end point).
-	minWindow := cfg.DRAM.Timing.TRFMab + ticks.FromNS(250)
-	switch v.Policy {
-	case sim.PolicyTPRAC, sim.PolicyTPRACpb:
-		w, err := p.SolveWindow(nrh, !v.NoReset, 0)
-		if err != nil {
-			return cfg, fmt.Errorf("exp: variant %s: %w", v.Name, err)
-		}
-		if w < minWindow {
-			w = minWindow
-		}
-		cfg.TBWindow = w
-	case sim.PolicyACB:
-		w, err := p.SolveWindow(nrh, !v.NoReset, 0)
-		if err != nil {
-			return cfg, fmt.Errorf("exp: variant %s: %w", v.Name, err)
-		}
-		// The same worst-case mitigation rate, but activity-triggered:
-		// one RFM per BAT activations of a bank.
-		bat := p.ActsPerWindow(w)
-		if bat < 2 {
-			bat = 2
-		}
-		cfg.BAT = bat
-	}
+	cfg.TBWindow = max(w, cfg.DRAM.Timing.TRFMab+ticks.FromNS(250))
 	return cfg, nil
+}
+
+// solveKey identifies one TB-Window solve.
+type solveKey struct {
+	p     analysis.Params
+	nbo   int
+	reset bool
+}
+
+// solveWindow returns the TB-Window for a threshold, solved once per
+// session: every variant and workload at that threshold shares it.
+func (r *runner) solveWindow(p analysis.Params, nbo int, reset bool) (ticks.T, error) {
+	return r.windows.Do(solveKey{p: p, nbo: nbo, reset: reset}, func() (ticks.T, error) {
+		return p.SolveWindow(nbo, reset, 0)
+	})
 }
 
 // PerfRun is one measured simulation.
@@ -170,12 +175,15 @@ func canonicalKey(v Variant, workload string) runKey {
 // between experiments (Table 5 re-runs Figure 13's TPRAC points)
 // execute once per runner. Underneath the in-process cache sit the
 // cross-process layers (see SessionOptions): the persistent run store,
-// imported shard results, and the shard ownership filter.
+// imported shard results, and the shard ownership filter. Solved
+// TB-Windows are memoized per runner too, so a long-lived process holds
+// no solves beyond its live sessions.
 type runner struct {
-	scale Scale
-	pool  *pool.Pool
-	cache pool.Cache[runKey, sim.RunResult]
-	tlog  telemetryLog
+	scale   Scale
+	pool    *pool.Pool
+	cache   pool.Cache[runKey, sim.RunResult]
+	windows pool.Cache[solveKey, ticks.T]
+	tlog    telemetryLog
 
 	store     *store.Store
 	journal   *journal.Journal
@@ -254,7 +262,7 @@ func (r *runner) run(v Variant, workload string) (sim.RunResult, error) {
 		if !r.shardSpec.Owns(skey) {
 			return sim.RunResult{}, fmt.Errorf("%w: %s", ErrShardSkipped, skey)
 		}
-		cfg, err := configure(v, workload)
+		cfg, err := r.configure(v, workload)
 		if err != nil {
 			return sim.RunResult{}, err
 		}
@@ -703,7 +711,7 @@ func runTable5(r *runner) (Table5Result, error) {
 		if runErr != nil || baseErr != nil {
 			return nil
 		}
-		cfg, err := configure(v, name)
+		cfg, err := r.configure(v, name)
 		if err != nil {
 			return err
 		}

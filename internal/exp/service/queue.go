@@ -161,8 +161,8 @@ type Queue struct {
 	jobs    map[string]*job
 	order   []*job // submission order
 	leases  map[string]*lease
-	jobSeq  int // persistent: restored from journaled ids
-	leaseSe int // process-local: restarts void leases
+	jobSeq  int            // persistent: restored from journaled ids
+	leaseSe int            // process-local: restarts void leases
 	rr      map[int]string // per-priority round-robin cursor (last token served)
 	closed  bool
 
@@ -259,14 +259,14 @@ func (q *Queue) Submit(token string, spec GridSpec, exps []string, scale exp.Sca
 	q.jobSeq++
 	q.submits++
 	j := &job{
-		id:       fmt.Sprintf("j%d", q.jobSeq),
-		token:    token,
-		priority: spec.Priority,
-		spec:     spec,
-		exps:     exps,
-		scale:    scale,
-		state:    StateQueued,
-		seq:      q.jobSeq,
+		id:        fmt.Sprintf("j%d", q.jobSeq),
+		token:     token,
+		priority:  spec.Priority,
+		spec:      spec,
+		exps:      exps,
+		scale:     scale,
+		state:     StateQueued,
+		seq:       q.jobSeq,
 		totalKeys: totalKeys,
 		warmKeys:  warmKeys,
 		subs:      make(map[chan JobStatus]struct{}),
@@ -680,7 +680,7 @@ func (q *Queue) jobForFinalize(id string) (exps []string, scale exp.Scale, ok bo
 
 // Depth snapshots the queue gauges for /metrics.
 type Depth struct {
-	Pending, Leased, ActiveJobs int
+	Pending, Leased, ActiveJobs                           int
 	Submits, DedupJobs, Grants, Acks, Expiries, ItemFails int64
 }
 
@@ -689,7 +689,7 @@ func (q *Queue) Stats() Depth {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	d := Depth{
-		Leased: len(q.leases),
+		Leased:  len(q.leases),
 		Submits: q.submits, DedupJobs: q.dedupJobs, Grants: q.grants,
 		Acks: q.acks, Expiries: q.expiries, ItemFails: q.itemFails,
 	}

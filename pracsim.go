@@ -22,9 +22,9 @@ import (
 	"pracsim/internal/exp"
 	"pracsim/internal/exp/dispatch"
 	"pracsim/internal/exp/journal"
+	"pracsim/internal/exp/service"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/service"
 	storeserver "pracsim/internal/exp/store/server"
 	"pracsim/internal/fault"
 	"pracsim/internal/httpd"
