@@ -70,6 +70,10 @@ func main() {
 	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none); an interrupted run re-invoked with the same arguments skips completed experiments")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	flag.Parse()
+	if err := exp.CheckCSVDir(*csvDir); err != nil {
+		fmt.Fprintf(os.Stderr, "pracleak: -csvdir: %v\n", err)
+		os.Exit(2)
+	}
 
 	st, warn, err := store.ResolveBackendWith(*storeMode, store.HTTPOptions{Timeout: *storeTimeout})
 	if warn != "" {

@@ -35,6 +35,10 @@ func main() {
 	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none)")
 	csvDir := flag.String("csvdir", "", "directory to write fig7.csv into (optional)")
 	flag.Parse()
+	if err := exp.CheckCSVDir(*csvDir); err != nil {
+		fmt.Fprintf(os.Stderr, "secanalysis: -csvdir: %v\n", err)
+		os.Exit(2)
+	}
 
 	st, warn, err := store.ResolveBackendWith(*storeMode, store.HTTPOptions{Timeout: *storeTimeout})
 	if warn != "" {

@@ -155,7 +155,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tpracsim: unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
-	if err := checkCSVDir(*csvDir); err != nil {
+	if err := exp.CheckCSVDir(*csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "tpracsim: -csvdir: %v\n", err)
 		os.Exit(2)
 	}
@@ -377,23 +377,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tpracsim: closing journal: %v\n", err)
 		}
 	}
-}
-
-// checkCSVDir rejects a -csvdir that is not an existing directory, so a
-// typo fails at once instead of after the experiment has run. The empty
-// string (no CSV output) passes.
-func checkCSVDir(dir string) error {
-	if dir == "" {
-		return nil
-	}
-	fi, err := os.Stat(dir)
-	if err != nil {
-		return err
-	}
-	if !fi.IsDir() {
-		return fmt.Errorf("%s is not a directory", dir)
-	}
-	return nil
 }
 
 // runPull serves -pull: the pull-worker loop against a pracsimd daemon.

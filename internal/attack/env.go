@@ -85,10 +85,11 @@ func (e *Env) Line(bank, row, col int) uint64 {
 // Read enqueues a read; done receives the data-return time. It reports
 // false if the controller queue is full.
 func (e *Env) Read(bank, row, col int, done func(at ticks.T)) bool {
-	return e.Ctrl.Enqueue(&memctrl.Request{
-		Line:       e.Line(bank, row, col),
-		OnComplete: done,
-	}, e.Eng.Now())
+	req := memctrl.Request{Line: e.Line(bank, row, col)}
+	if done != nil {
+		req.Done = ticks.CompleteFunc(done)
+	}
+	return e.Ctrl.Enqueue(&req, e.Eng.Now())
 }
 
 // Run advances the environment to the given absolute time.

@@ -4,8 +4,8 @@
 //
 // Timing is functional: a lookup either completes at a computed future time
 // (hit) or turns into a fetch from the next level whose completion time
-// flows back through callbacks. All levels are single-threaded, driven by
-// the core/engine clock.
+// flows back through a ticks.Completer. All levels are single-threaded,
+// driven by the core/engine clock.
 package cache
 
 import (
@@ -17,10 +17,12 @@ import (
 // Fetcher is anything that can supply cache lines: a lower cache level or
 // the memory-controller adapter.
 type Fetcher interface {
-	// Fetch requests a line; done runs when data is available, with the
-	// completion time. It reports false if the request cannot be
-	// accepted right now (MSHRs or queues full) — the caller must retry.
-	Fetch(line uint64, now ticks.T, done func(at ticks.T)) bool
+	// Fetch requests a line; an accepted fetch completes exactly once,
+	// through to.Complete(tag, at) with the time the data is available,
+	// possibly before Fetch returns. It reports false if the request
+	// cannot be accepted right now (MSHRs or queues full) — the caller
+	// must retry.
+	Fetch(line uint64, now ticks.T, to ticks.Completer, tag uint64) bool
 
 	// WriteBack hands a dirty line downstream. It reports false if the
 	// request cannot be accepted right now.
@@ -75,19 +77,32 @@ type line struct {
 	rrpv  uint8
 }
 
+// mshr is one entry of a cache's fixed miss table. Its waiters slice is
+// reused across the misses the entry serves.
 type mshr struct {
 	line    uint64
-	waiters []func(at ticks.T)
+	waiters []waiter
 	write   bool // at least one merged request was a store
+}
+
+// waiter is a merged requester to complete when the line arrives.
+type waiter struct {
+	to  ticks.Completer
+	tag uint64
 }
 
 // Cache is one level of the hierarchy.
 type Cache struct {
-	cfg  Config
-	sets [][]line // a set is allocated on first touch; see setOf
-	next Fetcher
+	cfg      Config
+	sets     [][]line // a set is allocated on first touch; see setOf
+	setShift uint     // log2(Sets): a line's tag is lineAddr >> setShift
+	next     Fetcher
 
-	mshrs   map[uint64]*mshr
+	// The miss table: cfg.MSHRs entries allocated up front, a free list
+	// of their indexes, and the in-flight lines' entries by address.
+	mshrs   []mshr
+	free    []int32
+	pending map[uint64]int32
 	lruTick uint64
 
 	prefetcher *IPStride
@@ -111,12 +126,20 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 	case cfg.Latency < 0:
 		return nil, fmt.Errorf("cache %s: negative latency", cfg.Name)
 	}
-	return &Cache{
-		cfg:   cfg,
-		sets:  make([][]line, cfg.Sets),
-		next:  next,
-		mshrs: make(map[uint64]*mshr, cfg.MSHRs),
-	}, nil
+	c := &Cache{
+		cfg:      cfg,
+		sets:     make([][]line, cfg.Sets),
+		setShift: uintLog2(cfg.Sets),
+		next:     next,
+		mshrs:    make([]mshr, cfg.MSHRs),
+		free:     make([]int32, cfg.MSHRs),
+		pending:  make(map[uint64]int32, cfg.MSHRs),
+	}
+	for i := range c.free {
+		// Pop order hands out index 0 first.
+		c.free[i] = int32(cfg.MSHRs - 1 - i)
+	}
+	return c, nil
 }
 
 // AttachIPStride enables an IP-stride prefetcher on this level.
@@ -133,12 +156,12 @@ func (c *Cache) AttachIPStride(tableSize, degree int) error {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // InFlight reports how many MSHRs are occupied by outstanding fetches.
-func (c *Cache) InFlight() int { return len(c.mshrs) }
+func (c *Cache) InFlight() int { return len(c.mshrs) - len(c.free) }
 
 // NextWork implements the demand-driven clocking protocol for the cache
 // hierarchy: caches are purely reactive — every lookup, fill and
 // writeback runs inside the caller's cycle, and completions are delivered
-// through callbacks — so a cache never schedules work of its own and is
+// through Completers — so a cache never schedules work of its own and is
 // always quiescent from the clock's point of view. Outstanding MSHRs
 // (see InFlight) are the downstream clock domain's work, not this one's.
 func (c *Cache) NextWork(ticks.T) ticks.T { return ticks.Never }
@@ -156,7 +179,13 @@ func (c *Cache) setOf(lineAddr uint64) []line {
 	}
 	return c.sets[i]
 }
-func (c *Cache) tagOf(lineAddr uint64) uint64 { return lineAddr >> uintLog2(c.cfg.Sets) }
+func (c *Cache) tagOf(lineAddr uint64) uint64 { return lineAddr >> c.setShift }
+
+// victimAddr rebuilds the address of a resident line from its tag and the
+// set index it shares with lineAddr.
+func (c *Cache) victimAddr(l *line, lineAddr uint64) uint64 {
+	return l.tag<<c.setShift | (lineAddr & uint64(c.cfg.Sets-1))
+}
 
 func uintLog2(n int) uint {
 	var b uint
@@ -168,12 +197,14 @@ func uintLog2(n int) uint {
 
 // Access performs a demand access from above (core or upper level). pc is
 // the accessing instruction's address, used by the prefetcher. It reports
-// false if the access cannot be accepted right now.
-func (c *Cache) Access(lineAddr uint64, write bool, pc uint64, now ticks.T, done func(at ticks.T)) bool {
-	ok := c.access(lineAddr, write, now, done, false)
+// false if the access cannot be accepted right now. An accepted access
+// with a non-nil to completes exactly once, through to.Complete(tag, at);
+// a hit completes before Access returns.
+func (c *Cache) Access(lineAddr uint64, write bool, pc uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
+	ok := c.access(lineAddr, write, now, to, tag, false)
 	if ok && c.prefetcher != nil {
 		for _, target := range c.prefetcher.Observe(pc, lineAddr) {
-			if c.access(target, false, now, nil, true) {
+			if c.access(target, false, now, nil, 0, true) {
 				c.stats.Prefetches++
 			}
 		}
@@ -181,11 +212,11 @@ func (c *Cache) Access(lineAddr uint64, write bool, pc uint64, now ticks.T, done
 	return ok
 }
 
-func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ticks.T), prefetch bool) bool {
+func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, to ticks.Completer, tag uint64, prefetch bool) bool {
 	set := c.setOf(lineAddr)
-	tag := c.tagOf(lineAddr)
+	lineTag := c.tagOf(lineAddr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].valid && set[i].tag == lineTag {
 			c.touch(&set[i])
 			if write {
 				set[i].dirty = true
@@ -193,25 +224,22 @@ func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ti
 			if !prefetch {
 				c.stats.Hits++
 			}
-			if done != nil {
-				done(now + c.cfg.Latency)
+			if to != nil {
+				to.Complete(tag, now+c.cfg.Latency)
 			}
 			return true
 		}
 	}
-	if prefetch {
+	idx, pending := c.pending[lineAddr]
+	if prefetch && (pending || len(c.free) == 0) {
 		// Prefetches are best-effort: drop rather than stall.
-		if len(c.mshrs) >= c.cfg.MSHRs {
-			return false
-		}
-		if _, pending := c.mshrs[lineAddr]; pending {
-			return false
-		}
+		return false
 	}
 	// Miss: merge into an existing MSHR if the line is already in flight.
-	if m, pending := c.mshrs[lineAddr]; pending {
-		if done != nil {
-			m.waiters = append(m.waiters, done)
+	if pending {
+		m := &c.mshrs[idx]
+		if to != nil {
+			m.waiters = append(m.waiters, waiter{to, tag})
 		}
 		m.write = m.write || write
 		if !prefetch {
@@ -220,22 +248,23 @@ func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ti
 		}
 		return true
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if len(c.free) == 0 {
 		c.stats.Stalls++
 		return false
 	}
-	m := &mshr{line: lineAddr, write: write}
-	if done != nil {
-		m.waiters = append(m.waiters, done)
+	idx = c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	m := &c.mshrs[idx]
+	m.line, m.write = lineAddr, write
+	if to != nil {
+		m.waiters = append(m.waiters, waiter{to, tag})
 	}
 	// Register before fetching: a downstream hit may complete (and fill)
 	// synchronously, and fill must find the MSHR it is retiring.
-	c.mshrs[lineAddr] = m
-	accepted := c.next.Fetch(lineAddr, now+c.cfg.Latency, func(at ticks.T) {
-		c.fill(lineAddr, m, at)
-	})
-	if !accepted {
-		delete(c.mshrs, lineAddr)
+	c.pending[lineAddr] = idx
+	if !c.next.Fetch(lineAddr, now+c.cfg.Latency, c, uint64(idx)) {
+		delete(c.pending, lineAddr)
+		c.release(idx)
 		c.stats.Stalls++
 		return false
 	}
@@ -245,16 +274,22 @@ func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ti
 	return true
 }
 
-// fill installs a fetched line, evicting (and writing back) as needed, then
-// wakes all merged waiters.
-func (c *Cache) fill(lineAddr uint64, m *mshr, at ticks.T) {
-	delete(c.mshrs, lineAddr)
+// Complete implements ticks.Completer for the cache's own downstream
+// fetches: tag is the index of the MSHR the fetch retires. It installs
+// the line, evicting (and writing back) as needed, then wakes all merged
+// waiters.
+func (c *Cache) Complete(tag uint64, at ticks.T) {
+	idx := int32(tag)
+	m := &c.mshrs[idx]
+	lineAddr := m.line
+	// The line leaves the index before the waiters run, but the entry
+	// (and its waiters slice) is freed only after they have run.
+	delete(c.pending, lineAddr)
 	set := c.setOf(lineAddr)
 	victim := c.pickVictim(set)
 	if victim.valid && victim.dirty {
 		// The victim shares the incoming line's set index.
-		victimAddr := victim.tag<<uintLog2(c.cfg.Sets) | (lineAddr & uint64(c.cfg.Sets-1))
-		if !c.next.WriteBack(victimAddr, at) {
+		if !c.next.WriteBack(c.victimAddr(victim, lineAddr), at) {
 			// Caches always accept writebacks and the MC adapter
 			// buffers them, so a refusal is a wiring bug, not a
 			// runtime condition to absorb.
@@ -267,8 +302,18 @@ func (c *Cache) fill(lineAddr uint64, m *mshr, at ticks.T) {
 	victim.tag = c.tagOf(lineAddr)
 	c.insertMeta(victim)
 	for _, w := range m.waiters {
-		w(at + c.cfg.Latency)
+		w.to.Complete(w.tag, at+c.cfg.Latency)
 	}
+	c.release(idx)
+}
+
+// release clears an MSHR's waiters, keeping their storage, and returns it
+// to the free list.
+func (c *Cache) release(idx int32) {
+	m := &c.mshrs[idx]
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	c.free = append(c.free, idx)
 }
 
 // touch updates replacement metadata on a hit.
@@ -327,8 +372,8 @@ func (c *Cache) pickVictim(set []line) *line {
 
 // Fetch implements Fetcher, letting caches stack: an upper level's miss is
 // a demand access here without prefetcher involvement.
-func (c *Cache) Fetch(lineAddr uint64, now ticks.T, done func(at ticks.T)) bool {
-	return c.access(lineAddr, false, now, done, false)
+func (c *Cache) Fetch(lineAddr uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
+	return c.access(lineAddr, false, now, to, tag, false)
 }
 
 // WriteBack implements Fetcher: a dirty line arriving from above is
@@ -347,8 +392,7 @@ func (c *Cache) WriteBack(lineAddr uint64, now ticks.T) bool {
 	}
 	victim := c.pickVictim(set)
 	if victim.valid && victim.dirty {
-		victimAddr := victim.tag<<uintLog2(c.cfg.Sets) | (lineAddr & uint64(c.cfg.Sets-1))
-		if !c.next.WriteBack(victimAddr, now) {
+		if !c.next.WriteBack(c.victimAddr(victim, lineAddr), now) {
 			panic(fmt.Sprintf("cache %s: writeback refused by downstream", c.cfg.Name))
 		}
 		c.stats.Writebacks++

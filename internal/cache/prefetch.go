@@ -11,6 +11,7 @@ type IPStride struct {
 	entries []ipEntry
 	mask    uint64
 	degree  int
+	targets []uint64 // Observe's result buffer, reused across calls
 }
 
 type ipEntry struct {
@@ -33,10 +34,13 @@ func NewIPStride(tableSize, degree int) (*IPStride, error) {
 		entries: make([]ipEntry, tableSize),
 		mask:    uint64(tableSize - 1),
 		degree:  degree,
+		targets: make([]uint64, 0, degree),
 	}, nil
 }
 
-// Observe records a demand access and returns the lines to prefetch.
+// Observe records a demand access and returns the lines to prefetch. The
+// returned slice is the prefetcher's own buffer: it stays valid only until
+// the next call to Observe.
 func (p *IPStride) Observe(pc, lineAddr uint64) []uint64 {
 	e := &p.entries[(pc>>2)&p.mask]
 	if !e.valid || e.pc != pc {
@@ -59,7 +63,7 @@ func (p *IPStride) Observe(pc, lineAddr uint64) []uint64 {
 	if e.conf < 2 {
 		return nil
 	}
-	targets := make([]uint64, 0, p.degree)
+	targets := p.targets[:0]
 	next := int64(lineAddr)
 	for i := 0; i < p.degree; i++ {
 		next += stride

@@ -17,8 +17,12 @@ import (
 const CyclePeriod = ticks.T(1)
 
 // MemPort is where the core sends memory accesses (the L1 data cache).
+// Access reports false if the access cannot be accepted right now. An
+// accepted access with a non-nil to completes exactly once, through
+// to.Complete(tag, at); the core passes itself with the ROB slot as tag
+// for loads, and a nil to for posted stores.
 type MemPort interface {
-	Access(line uint64, write bool, pc uint64, now ticks.T, done func(at ticks.T)) bool
+	Access(line uint64, write bool, pc uint64, now ticks.T, to ticks.Completer, tag uint64) bool
 }
 
 // Config sizes the core per the paper's Table 3.
@@ -80,7 +84,8 @@ type Core struct {
 	head  int
 	count int
 
-	stalled    *trace.Record
+	stalled    trace.Record // the refused record, valid while hasStalled
+	hasStalled bool
 	streamDone bool
 
 	offset uint64 // address-space offset in cache lines
@@ -129,7 +134,7 @@ func (c *Core) Stats() Stats { return c.stats }
 func (c *Core) ResetStats() { c.stats = Stats{} }
 
 // Done reports whether the trace is exhausted and the pipeline drained.
-func (c *Core) Done() bool { return c.streamDone && c.count == 0 && c.stalled == nil }
+func (c *Core) Done() bool { return c.streamDone && c.count == 0 && !c.hasStalled }
 
 // SetWaker registers fn, invoked when the load blocking the ROB head
 // completes — the event that can turn a fully-stalled core (parked by a
@@ -195,7 +200,7 @@ func (c *Core) NextWork(now ticks.T) ticks.T {
 	issueAt := ticks.Never
 	if c.count < len(c.rob) {
 		switch {
-		case c.stalled != nil:
+		case c.hasStalled:
 			// A refused access can only succeed after downstream
 			// resources free up; retries before then are no-ops.
 			if c.retrySlot != nil {
@@ -233,7 +238,7 @@ func (c *Core) issue(now ticks.T) {
 			break
 		}
 		if !c.dispatch(rec, now) {
-			c.stalled = rec
+			c.stalled, c.hasStalled = rec, true
 			break
 		}
 		progressed = true
@@ -244,26 +249,24 @@ func (c *Core) issue(now ticks.T) {
 }
 
 // nextRecord returns the stalled record if any, else pulls from the stream.
-func (c *Core) nextRecord() (*trace.Record, bool) {
-	if c.stalled != nil {
-		r := c.stalled
-		c.stalled = nil
-		return r, true
+func (c *Core) nextRecord() (trace.Record, bool) {
+	if c.hasStalled {
+		c.hasStalled = false
+		return c.stalled, true
 	}
 	if c.streamDone {
-		return nil, false
+		return trace.Record{}, false
 	}
 	rec, ok := c.stream.Next()
 	if !ok {
 		c.streamDone = true
-		return nil, false
 	}
-	return &rec, true
+	return rec, ok
 }
 
 // dispatch places one instruction into the ROB. It reports false when the
 // memory system refused the access (the instruction must retry next cycle).
-func (c *Core) dispatch(rec *trace.Record, now ticks.T) bool {
+func (c *Core) dispatch(rec trace.Record, now ticks.T) bool {
 	slot := (c.head + c.count) % len(c.rob)
 	e := &c.rob[slot]
 	if !rec.IsMem {
@@ -274,7 +277,7 @@ func (c *Core) dispatch(rec *trace.Record, now ticks.T) bool {
 	line := (rec.Line + c.offset) % c.lines
 	if rec.Write {
 		// Stores retire without waiting: the store buffer posts them.
-		if !c.mem.Access(line, true, rec.PC, now, nil) {
+		if !c.mem.Access(line, true, rec.PC, now, nil, 0) {
 			return false
 		}
 		e.completeAt = now + CyclePeriod
@@ -283,18 +286,22 @@ func (c *Core) dispatch(rec *trace.Record, now ticks.T) bool {
 		return true
 	}
 	e.completeAt = pendingCompletion
-	accepted := c.mem.Access(line, false, rec.PC, now, func(at ticks.T) {
-		e.completeAt = at
-		// Waking matters only when this load gates retirement: a parked
-		// core's head cannot move, so slot identity is stable.
-		if c.waker != nil && slot == c.head {
-			c.waker(at)
-		}
-	})
-	if !accepted {
+	if !c.mem.Access(line, false, rec.PC, now, c, uint64(slot)) {
 		return false
 	}
 	c.count++
 	c.stats.Loads++
 	return true
+}
+
+// Complete implements ticks.Completer for the core's loads: tag is the
+// ROB slot the load occupies, and at is when its data returns.
+func (c *Core) Complete(tag uint64, at ticks.T) {
+	slot := int(tag)
+	c.rob[slot].completeAt = at
+	// Waking matters only when this load gates retirement: a parked
+	// core's head cannot move, so slot identity is stable.
+	if c.waker != nil && slot == c.head {
+		c.waker(at)
+	}
 }

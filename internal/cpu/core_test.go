@@ -16,7 +16,7 @@ type fakeMem struct {
 	stores  int
 }
 
-func (m *fakeMem) Access(line uint64, write bool, pc uint64, now ticks.T, done func(ticks.T)) bool {
+func (m *fakeMem) Access(line uint64, write bool, pc uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
 	if m.refuse > 0 {
 		m.refuse--
 		return false
@@ -26,8 +26,8 @@ func (m *fakeMem) Access(line uint64, write bool, pc uint64, now ticks.T, done f
 		return true
 	}
 	m.loads++
-	if done != nil {
-		done(now + m.latency)
+	if to != nil {
+		to.Complete(tag, now+m.latency)
 	}
 	return true
 }
@@ -161,8 +161,8 @@ type manualMem struct {
 	onAccess func(done func(ticks.T))
 }
 
-func (m *manualMem) Access(line uint64, write bool, pc uint64, now ticks.T, done func(ticks.T)) bool {
-	m.onAccess(done) // never completes: loads pile up
+func (m *manualMem) Access(line uint64, write bool, pc uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
+	m.onAccess(func(at ticks.T) { to.Complete(tag, at) }) // never completes: loads pile up
 	return true
 }
 
@@ -183,10 +183,10 @@ func TestAddressRelocation(t *testing.T) {
 
 type recordingMem struct{ onLine func(uint64) }
 
-func (m *recordingMem) Access(line uint64, write bool, pc uint64, now ticks.T, done func(ticks.T)) bool {
+func (m *recordingMem) Access(line uint64, write bool, pc uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
 	m.onLine(line)
-	if done != nil {
-		done(now + 1)
+	if to != nil {
+		to.Complete(tag, now+1)
 	}
 	return true
 }
@@ -217,4 +217,63 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(0, DefaultConfig(), trace.NewSliceStream(nil), &fakeMem{}, 0, 0); err == nil {
 		t.Error("empty address space accepted")
 	}
+}
+
+// loopStream replays a fixed record slice forever.
+type loopStream struct {
+	recs []trace.Record
+	i    int
+}
+
+func (s *loopStream) Next() (trace.Record, bool) {
+	r := s.recs[s.i]
+	s.i = (s.i + 1) % len(s.recs)
+	return r, true
+}
+
+// BenchmarkCoreDispatch ticks the paper's core on a fixed mix of 60%
+// non-memory instructions, 30% loads and 10% stores over a memory that
+// completes every load 40 cycles after issue and refuses 1 access in 16.
+// One op is one core cycle.
+func BenchmarkCoreDispatch(b *testing.B) {
+	recs := make([]trace.Record, 1000)
+	for i := range recs {
+		recs[i] = trace.Record{PC: 0x400000 + uint64(i%64)*4}
+		switch i % 10 {
+		case 0, 3, 6:
+			recs[i].IsMem, recs[i].Line = true, uint64(i)*7
+		case 9:
+			recs[i].IsMem, recs[i].Write, recs[i].Line = true, true, uint64(i)*3
+		}
+	}
+	mem := &refusingMem{latency: 40, every: 16}
+	c, err := New(0, DefaultConfig(), &loopStream{recs: recs}, mem, 0, 1<<30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Tick(ticks.T(i))
+	}
+	b.ReportMetric(float64(c.Stats().Instructions)/float64(b.N), "inst/op")
+}
+
+// refusingMem completes loads after a fixed latency and refuses every
+// every-th access.
+type refusingMem struct {
+	latency ticks.T
+	every   int
+	n       int
+}
+
+func (m *refusingMem) Access(_ uint64, _ bool, _ uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
+	m.n++
+	if m.n%m.every == 0 {
+		return false
+	}
+	if to != nil {
+		to.Complete(tag, now+m.latency)
+	}
+	return true
 }

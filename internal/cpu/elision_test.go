@@ -12,9 +12,9 @@ type pendingMem struct {
 	done []func(ticks.T)
 }
 
-func (m *pendingMem) Access(line uint64, write bool, pc uint64, now ticks.T, done func(ticks.T)) bool {
-	if done != nil {
-		m.done = append(m.done, done)
+func (m *pendingMem) Access(line uint64, write bool, pc uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
+	if to != nil {
+		m.done = append(m.done, func(at ticks.T) { to.Complete(tag, at) })
 	}
 	return true
 }

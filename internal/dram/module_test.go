@@ -382,3 +382,45 @@ func hammerOne(m *Module, bank, row int, start ticks.T) ticks.T {
 	m.Issue(Cmd{Kind: CmdPRE, Bank: bank}, pre)
 	return pre + 1
 }
+
+// BenchmarkModuleIssue drives CanIssue/Issue the way a controller does:
+// one op is one 1 ns command slot, offered to 4 banks in rotation so
+// timing windows refuse most offers. A closed bank gets an ACT (rows
+// rotate over 64 per bank), an open one 4 RDs, then a PRE; a command is
+// issued only when CanIssue allows it. Alerts are disabled so no RFM
+// servicing is needed.
+func BenchmarkModuleIssue(b *testing.B) {
+	cfg := DefaultConfig(1024)
+	cfg.PRAC.NBO = 1 << 30
+	m := MustNew(cfg)
+	const banks = 4
+	nextRow := make([]int, banks)
+	reads := make([]int, banks)
+	issued := 0
+	now := ticks.T(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank := i % banks
+		cmd := Cmd{Kind: CmdPRE, Bank: bank}
+		switch _, open := m.OpenRow(bank); {
+		case !open:
+			cmd = Cmd{Kind: CmdACT, Bank: bank, Row: nextRow[bank]}
+		case reads[bank] < 4:
+			cmd.Kind = CmdRD
+		}
+		if m.CanIssue(cmd, now) {
+			m.Issue(cmd, now)
+			issued++
+			switch cmd.Kind {
+			case CmdACT:
+				nextRow[bank] = (nextRow[bank] + 1) % 64
+				reads[bank] = 0
+			case CmdRD:
+				reads[bank]++
+			}
+		}
+		now += 4
+	}
+	b.ReportMetric(float64(issued)/float64(b.N), "cmds/op")
+}

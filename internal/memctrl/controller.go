@@ -12,15 +12,18 @@ import (
 const CyclePeriod = ticks.T(4)
 
 // Request is one cache-line transfer presented to the controller.
+// Enqueue copies it into storage the controller owns, so the caller may
+// reuse or discard its Request as soon as Enqueue returns.
 type Request struct {
 	// Line is the physical cache-line index (address / line size); the
 	// controller's address mapper turns it into a bank/row/column.
 	Line  uint64
 	Write bool
 
-	// OnComplete, if non-nil, runs when read data has fully transferred
-	// (writes are posted and complete on enqueue).
-	OnComplete func(done ticks.T)
+	// Done, if non-nil, receives Done.Complete(Tag, at) when read data
+	// has fully transferred (writes are posted and complete on enqueue).
+	Done ticks.Completer
+	Tag  uint64
 
 	arrive ticks.T
 	loc    Loc
@@ -68,11 +71,15 @@ type Stats struct {
 type Controller struct {
 	cfg    Config
 	mod    *dram.Module
+	dcfg   dram.Config // the module's configuration, fixed once it is built
 	mapper AddressMapper
 	policy mitigation.Policy
 
+	// The queues point into storage the controller owns: one entry per
+	// queue slot, allocated in New, with the unused ones on free.
 	readQ  []*Request
 	writeQ []*Request
+	free   []*Request
 
 	draining bool
 
@@ -120,12 +127,17 @@ func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.P
 	if cfg.FRFCFSCap <= 0 {
 		return nil, fmt.Errorf("memctrl: FR-FCFS cap must be positive: %+v", cfg)
 	}
-	org := mod.Config().Org
+	dcfg := mod.Config()
+	org := dcfg.Org
 	c := &Controller{
 		cfg:        cfg,
 		mod:        mod,
+		dcfg:       dcfg,
 		mapper:     mapper,
 		policy:     policy,
+		readQ:      make([]*Request, 0, cfg.ReadQueueCap),
+		writeQ:     make([]*Request, 0, cfg.WriteQueueCap),
+		free:       make([]*Request, cfg.ReadQueueCap+cfg.WriteQueueCap),
 		nextRefAt:  make([]ticks.T, org.Ranks),
 		refDebt:    make([]int, org.Ranks),
 		refCount:   make([]int64, org.Ranks),
@@ -136,7 +148,11 @@ func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.P
 	for r := range c.nextRefAt {
 		// Stagger rank refreshes across the tREFI period, as real
 		// controllers do, so refresh blackouts do not align.
-		c.nextRefAt[r] = mod.Config().Timing.TREFI * ticks.T(r+1) / ticks.T(org.Ranks)
+		c.nextRefAt[r] = dcfg.Timing.TREFI * ticks.T(r+1) / ticks.T(org.Ranks)
+	}
+	store := make([]Request, len(c.free))
+	for i := range c.free {
+		c.free[i] = &store[i]
 	}
 	return c, nil
 }
@@ -162,16 +178,15 @@ func (c *Controller) QueueLen() (reads, writes int) { return len(c.readQ), len(c
 // Demand-driven clocks use it to resume a parked controller ticker.
 func (c *Controller) SetWaker(fn func(now ticks.T)) { c.waker = fn }
 
-// Enqueue presents a request to the controller. It reports false when the
-// relevant queue is full; the caller must retry later.
+// Enqueue presents a request to the controller, which copies *req into a
+// queue entry it owns; req itself is not retained. It reports false when
+// the relevant queue is full; the caller must retry later.
 func (c *Controller) Enqueue(req *Request, now ticks.T) bool {
-	req.arrive = now
-	req.loc = c.mapper.Decode(req.Line)
 	if req.Write {
 		if len(c.writeQ) >= c.cfg.WriteQueueCap {
 			return false
 		}
-		c.writeQ = append(c.writeQ, req)
+		c.writeQ = append(c.writeQ, c.store(req, now))
 		c.writeLines[req.Line]++
 		c.stats.Writes++
 		c.wakeIfIdle(now)
@@ -181,18 +196,29 @@ func (c *Controller) Enqueue(req *Request, now ticks.T) bool {
 	if c.writeLines[req.Line] > 0 {
 		c.stats.Reads++
 		c.stats.WriteForward++
-		if req.OnComplete != nil {
-			req.OnComplete(now + CyclePeriod)
+		if req.Done != nil {
+			req.Done.Complete(req.Tag, now+CyclePeriod)
 		}
 		return true
 	}
 	if len(c.readQ) >= c.cfg.ReadQueueCap {
 		return false
 	}
-	c.readQ = append(c.readQ, req)
+	c.readQ = append(c.readQ, c.store(req, now))
 	c.stats.Reads++
 	c.wakeIfIdle(now)
 	return true
+}
+
+// store copies req into a free queue entry. The queue caps bound the
+// entries in use, so the free list cannot run dry.
+func (c *Controller) store(req *Request, now ticks.T) *Request {
+	e := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	// Field by field: a composite literal would build and copy a temporary.
+	e.Line, e.Write, e.Done, e.Tag = req.Line, req.Write, req.Done, req.Tag
+	e.arrive, e.loc, e.missed = now, c.mapper.Decode(req.Line), false
+	return e
 }
 
 // wakeIfIdle fires the waker when the request just accepted is the only
@@ -254,7 +280,7 @@ func (c *Controller) NextWork(now ticks.T) ticks.T {
 // accrueMaintenance updates refresh debt, proactive-RFM debt and the Alert
 // Back-Off state machine.
 func (c *Controller) accrueMaintenance(now ticks.T) {
-	t := c.mod.Config().Timing
+	t := c.dcfg.Timing
 	if !c.cfg.NoRefresh {
 		for r := range c.nextRefAt {
 			for now >= c.nextRefAt[r] {
@@ -276,10 +302,10 @@ func (c *Controller) accrueMaintenance(now ticks.T) {
 		if !c.aboQueued {
 			if c.aboDeadln == 0 {
 				c.aboDeadln = now + t.TABOACT
-				c.aboBudget = c.mod.Config().PRAC.ABOActAllowance
+				c.aboBudget = c.dcfg.PRAC.ABOActAllowance
 			}
 			if c.aboBudget <= 0 || now >= c.aboDeadln {
-				c.aboRFMs += c.mod.Config().PRAC.NMit
+				c.aboRFMs += c.dcfg.PRAC.NMit
 				c.aboQueued = true
 			}
 		}
@@ -302,14 +328,14 @@ func (c *Controller) maintenanceBlocked(bank int) bool {
 			return true
 		}
 	}
-	return c.refDebt[c.mod.Config().Org.RankOf(bank)] > 0
+	return c.refDebt[c.dcfg.Org.RankOf(bank)] > 0
 }
 
 // serviceMaintenance issues PRE/REFab/RFMab commands needed by refresh, RFM
 // and Alert servicing. It reports whether it consumed this cycle's command
 // slot.
 func (c *Controller) serviceMaintenance(now ticks.T) bool {
-	org := c.mod.Config().Org
+	org := c.dcfg.Org
 	needRFM := c.rfmPending > 0 || c.aboRFMs > 0
 
 	if needRFM {
@@ -377,7 +403,7 @@ func (c *Controller) serviceMaintenance(now ticks.T) bool {
 // prechargeForDrain closes one open row so pending maintenance can proceed.
 // rank < 0 drains the whole channel (for RFMab).
 func (c *Controller) prechargeForDrain(now ticks.T, rank int) bool {
-	org := c.mod.Config().Org
+	org := c.dcfg.Org
 	lo, hi := 0, org.Banks()
 	if rank >= 0 {
 		lo = rank * org.BanksPerRank()
@@ -521,9 +547,9 @@ func (c *Controller) tryColumn(r *Request, now ticks.T) bool {
 	if !r.missed {
 		c.stats.RowHits++
 	}
-	if !r.Write && r.OnComplete != nil {
+	if !r.Write && r.Done != nil {
 		c.stats.ReadLatency += res.DataAt - r.arrive
-		r.OnComplete(res.DataAt)
+		r.Done.Complete(r.Tag, res.DataAt)
 	}
 	return true
 }
@@ -539,8 +565,10 @@ func (c *Controller) untrackWrite(line uint64) {
 	}
 }
 
+// remove drops queue entry i and returns its storage to the free list.
 func (c *Controller) remove(q *[]*Request, i int) {
 	queue := *q
+	c.free = append(c.free, queue[i])
 	copy(queue[i:], queue[i+1:])
 	queue[len(queue)-1] = nil
 	*q = queue[:len(queue)-1]

@@ -60,7 +60,7 @@ func (r *testRig) lineFor(bank, row, col int) uint64 {
 func TestReadCompletesWithRowMissLatency(t *testing.T) {
 	rig := newRig(t, smallDRAM(1024), DefaultConfig(), mitigation.NewABOOnly())
 	var done ticks.T
-	req := &Request{Line: rig.lineFor(0, 5, 0), OnComplete: func(at ticks.T) { done = at }}
+	req := &Request{Line: rig.lineFor(0, 5, 0), Done: ticks.CompleteFunc(func(at ticks.T) { done = at })}
 	if !rig.ctrl.Enqueue(req, 0) {
 		t.Fatal("Enqueue refused")
 	}
@@ -82,10 +82,10 @@ func TestReadCompletesWithRowMissLatency(t *testing.T) {
 func TestRowHitFasterThanMiss(t *testing.T) {
 	rig := newRig(t, smallDRAM(1024), DefaultConfig(), mitigation.NewABOOnly())
 	var first, second ticks.T
-	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(0, 5, 0), OnComplete: func(at ticks.T) { first = at }}, 0)
+	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(0, 5, 0), Done: ticks.CompleteFunc(func(at ticks.T) { first = at })}, 0)
 	rig.run(ticks.FromNS(1000), func() bool { return first != 0 })
 	start := rig.now
-	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(0, 5, 1), OnComplete: func(at ticks.T) { second = at }}, rig.now)
+	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(0, 5, 1), Done: ticks.CompleteFunc(func(at ticks.T) { second = at })}, rig.now)
 	rig.run(rig.now+ticks.FromNS(1000), func() bool { return second != 0 })
 	missLat := first
 	hitLat := second - start
@@ -104,7 +104,7 @@ func TestWriteIsPostedAndForwarded(t *testing.T) {
 		t.Fatal("write refused")
 	}
 	var done ticks.T
-	rig.ctrl.Enqueue(&Request{Line: line, OnComplete: func(at ticks.T) { done = at }}, 0)
+	rig.ctrl.Enqueue(&Request{Line: line, Done: ticks.CompleteFunc(func(at ticks.T) { done = at })}, 0)
 	if done == 0 {
 		t.Fatal("read of pending write was not forwarded")
 	}
@@ -189,8 +189,8 @@ func hammerLoop(rig *testRig, bank, rowA, rowB int, deadline ticks.T, stop func(
 			}
 			outstanding++
 			rig.ctrl.Enqueue(&Request{
-				Line:       rig.lineFor(bank, row, 0),
-				OnComplete: func(ticks.T) { outstanding-- },
+				Line: rig.lineFor(bank, row, 0),
+				Done: ticks.CompleteFunc(func(ticks.T) { outstanding-- }),
 			}, rig.now)
 		}
 		rig.ctrl.Tick(rig.now)

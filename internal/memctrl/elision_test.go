@@ -28,7 +28,7 @@ func TestWriteForwardIndexTracksQueue(t *testing.T) {
 		t.Fatal("write refused")
 	}
 	var done ticks.T
-	rig.ctrl.Enqueue(&Request{Line: line, OnComplete: func(at ticks.T) { done = at }}, rig.now)
+	rig.ctrl.Enqueue(&Request{Line: line, Done: ticks.CompleteFunc(func(at ticks.T) { done = at })}, rig.now)
 	if done == 0 {
 		t.Fatal("read of doubly-pending write was not forwarded")
 	}
@@ -45,7 +45,7 @@ func TestWriteForwardIndexTracksQueue(t *testing.T) {
 		t.Fatalf("forwarding index holds %d lines after drain, want 0", n)
 	}
 	done = 0
-	rig.ctrl.Enqueue(&Request{Line: line, OnComplete: func(at ticks.T) { done = at }}, rig.now)
+	rig.ctrl.Enqueue(&Request{Line: line, Done: ticks.CompleteFunc(func(at ticks.T) { done = at })}, rig.now)
 	if done != 0 {
 		t.Fatal("read forwarded after all writes drained")
 	}
@@ -70,7 +70,7 @@ func TestWriteForwardDeepQueue(t *testing.T) {
 	}
 	forwarded := 0
 	for _, l := range lines {
-		rig.ctrl.Enqueue(&Request{Line: l, OnComplete: func(ticks.T) { forwarded++ }}, 0)
+		rig.ctrl.Enqueue(&Request{Line: l, Done: ticks.CompleteFunc(func(ticks.T) { forwarded++ })}, 0)
 	}
 	if forwarded != len(lines) {
 		t.Fatalf("forwarded %d of %d reads against a deep write queue", forwarded, len(lines))
@@ -149,7 +149,7 @@ func TestTickAllocFree(t *testing.T) {
 	var recycle func(i int) func(ticks.T)
 	recycle = func(i int) func(ticks.T) { return func(ticks.T) {} }
 	for i := range reqs {
-		reqs[i] = &Request{Line: rig.lineFor(i%4, i, 0), OnComplete: recycle(i)}
+		reqs[i] = &Request{Line: rig.lineFor(i%4, i, 0), Done: ticks.CompleteFunc(recycle(i))}
 		if !rig.ctrl.Enqueue(reqs[i], 0) {
 			t.Fatalf("request %d refused", i)
 		}
@@ -164,6 +164,49 @@ func TestTickAllocFree(t *testing.T) {
 	// not a per-tick cost.
 	if allocs > 0.01 {
 		t.Errorf("Tick allocates %.3f objects per call, want 0", allocs)
+	}
+}
+
+// readDone is a Completer that records its last completion.
+type readDone struct {
+	n   int
+	tag uint64
+	at  ticks.T
+}
+
+func (r *readDone) Complete(tag uint64, at ticks.T) { r.n, r.tag, r.at = r.n+1, tag, at }
+
+// TestReadPathAllocFree is the allocation guard for one read's whole
+// trip: Enqueue copies the request into controller-owned storage, Tick
+// schedules it, and completion reaches a typed target. Once warm, none
+// of it allocates.
+func TestReadPathAllocFree(t *testing.T) {
+	rig := newRig(t, smallDRAM(1024), DefaultConfig(), mitigation.NewABOOnly())
+	done := &readDone{}
+	i := 0
+	read := func() {
+		i++
+		n, start := done.n, rig.now
+		req := Request{Line: rig.lineFor(i%4, i%64, i%8), Done: done, Tag: uint64(i)}
+		if !rig.ctrl.Enqueue(&req, rig.now) {
+			t.Fatal("read refused by an idle controller")
+		}
+		for done.n == n {
+			rig.ctrl.Tick(rig.now)
+			rig.now += CyclePeriod
+		}
+		if done.tag != uint64(i) || done.at <= start {
+			t.Fatalf("read %d completed as tag %d at %v", i, done.tag, done.at)
+		}
+	}
+	for range 256 {
+		read() // warm: every row's PRAC counter exists
+	}
+	if allocs := testing.AllocsPerRun(500, read); allocs != 0 {
+		t.Errorf("Enqueue → Tick → Complete allocates %v objects per read, want 0", allocs)
+	}
+	if r, w := rig.ctrl.QueueLen(); r != 0 || w != 0 {
+		t.Fatalf("queues hold %d reads and %d writes after every read completed", r, w)
 	}
 }
 
@@ -193,7 +236,7 @@ func BenchmarkControllerTickSaturated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for pending < 16 {
 			row++
-			if ctrl.Enqueue(&Request{Line: mapper.Encode(Loc{Bank: row % 4, Row: row % 256}), OnComplete: refill}, now) {
+			if ctrl.Enqueue(&Request{Line: mapper.Encode(Loc{Bank: row % 4, Row: row % 256}), Done: ticks.CompleteFunc(refill)}, now) {
 				pending++
 			} else {
 				break
@@ -235,7 +278,7 @@ func BenchmarkControllerEnqueueDeepWriteQueue(b *testing.B) {
 		// A non-forwarded read probes the index once; drop it from the
 		// read queue again so the enqueue path stays the measured cost.
 		if ctrl.Enqueue(miss, 0) {
-			ctrl.readQ = ctrl.readQ[:0]
+			ctrl.remove(&ctrl.readQ, 0)
 		}
 	}
 }

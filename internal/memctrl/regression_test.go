@@ -30,9 +30,9 @@ func TestNoCrossRankHeadOfLineBlocking(t *testing.T) {
 	parkRank1 = func() {
 		rig.ctrl.Enqueue(&Request{
 			Line: rig.lineFor(banksPerRank, row%512, 0),
-			OnComplete: func(at ticks.T) {
+			Done: ticks.CompleteFunc(func(at ticks.T) {
 				parkRank1()
-			},
+			}),
 		}, rig.now)
 	}
 	parkRank1()
@@ -44,7 +44,7 @@ func TestNoCrossRankHeadOfLineBlocking(t *testing.T) {
 		outstanding++
 		rig.ctrl.Enqueue(&Request{
 			Line: rig.lineFor(0, row%512, 0),
-			OnComplete: func(at ticks.T) {
+			Done: ticks.CompleteFunc(func(at ticks.T) {
 				outstanding--
 				if lat := at - arrive; lat > maxLatRank0 {
 					// Exclude samples overlapping rank 0's own refresh
@@ -59,7 +59,7 @@ func TestNoCrossRankHeadOfLineBlocking(t *testing.T) {
 						maxLatRank0 = lat
 					}
 				}
-			},
+			}),
 		}, rig.now)
 	}
 	for rig.now < ticks.FromUS(40) {

@@ -128,8 +128,8 @@ type memAdapter struct {
 	pendingWB []uint64
 }
 
-func (a *memAdapter) Fetch(line uint64, now ticks.T, done func(at ticks.T)) bool {
-	return a.ctrl.Enqueue(&memctrl.Request{Line: line, OnComplete: done}, now)
+func (a *memAdapter) Fetch(line uint64, now ticks.T, to ticks.Completer, tag uint64) bool {
+	return a.ctrl.Enqueue(&memctrl.Request{Line: line, Done: to, Tag: tag}, now)
 }
 
 func (a *memAdapter) WriteBack(line uint64, now ticks.T) bool {

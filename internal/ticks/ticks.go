@@ -81,3 +81,20 @@ func Max(a, b T) T {
 	}
 	return b
 }
+
+// Completer receives the completion of an asynchronous memory access: a
+// requester hands a Completer and a tag down with the access, and the
+// component that finishes it calls Complete with that tag and the time
+// the data is available. The tag is the requester's own index for the
+// access (a ROB slot, an MSHR index), so one long-lived Completer serves
+// every access in flight and issuing one allocates nothing.
+type Completer interface {
+	Complete(tag uint64, at T)
+}
+
+// CompleteFunc adapts a function to Completer, ignoring the tag. A func
+// value converts to an interface without allocating.
+type CompleteFunc func(at T)
+
+// Complete calls f(at).
+func (f CompleteFunc) Complete(_ uint64, at T) { f(at) }
