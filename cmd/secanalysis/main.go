@@ -35,6 +35,10 @@ func main() {
 	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none)")
 	csvDir := flag.String("csvdir", "", "directory to write fig7.csv into (optional)")
 	flag.Parse()
+	if *nbo < 1 {
+		fmt.Fprintf(os.Stderr, "secanalysis: -nbo: must be at least 1, got %d\n", *nbo)
+		os.Exit(2)
+	}
 	if err := exp.CheckCSVDir(*csvDir); err != nil {
 		fmt.Fprintf(os.Stderr, "secanalysis: -csvdir: %v\n", err)
 		os.Exit(2)

@@ -21,6 +21,17 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runMain re-executes the test binary as secanalysis with args and
+// returns its stdout, stderr and exit error.
+func runMain(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
 // TestBadCSVDirExitsBeforeWork runs secanalysis with a -csvdir that is
 // missing or a file: it must exit 2 with a -csvdir error before running
 // the Figure 7 sweep, so nothing reaches stdout.
@@ -31,20 +42,35 @@ func TestBadCSVDirExitsBeforeWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []string{filepath.Join(dir, "missing"), file} {
-		cmd := exec.Command(os.Args[0], "-store", "off", "-csvdir", bad)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
+		stdout, stderr, err := runMain("-store", "off", "-csvdir", bad)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("-csvdir %s: %v, want exit status 2; stderr: %s", bad, err, stderr.String())
+			t.Fatalf("-csvdir %s: %v, want exit status 2; stderr: %s", bad, err, stderr)
 		}
-		if !strings.Contains(stderr.String(), "secanalysis: -csvdir:") {
-			t.Errorf("-csvdir %s: stderr %q does not name the flag", bad, stderr.String())
+		if !strings.Contains(stderr, "secanalysis: -csvdir:") {
+			t.Errorf("-csvdir %s: stderr %q does not name the flag", bad, stderr)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("-csvdir %s: printed %q before failing, want no work done", bad, stdout.String())
+		if stdout != "" {
+			t.Errorf("-csvdir %s: printed %q before failing, want no work done", bad, stdout)
+		}
+	}
+}
+
+// TestBadNBOExitsBeforeWork runs secanalysis with a -nbo below 1: it must
+// exit 2 with a -nbo error right after flag parsing, before the Figure 7
+// sweep, so nothing reaches stdout.
+func TestBadNBOExitsBeforeWork(t *testing.T) {
+	for _, bad := range []string{"0", "-5"} {
+		stdout, stderr, err := runMain("-store", "off", "-empirical", "-nbo", bad)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-nbo %s: %v, want exit status 2; stderr: %s", bad, err, stderr)
+		}
+		if !strings.Contains(stderr, "secanalysis: -nbo:") {
+			t.Errorf("-nbo %s: stderr %q does not name the flag", bad, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("-nbo %s: printed %q before failing, want no work done", bad, stdout)
 		}
 	}
 }

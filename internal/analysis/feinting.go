@@ -60,6 +60,9 @@ func (p Params) ActsPerWindow(window ticks.T) int {
 	return int(window / p.TRC)
 }
 
+// unlimited is the budget FeintingTACT applies when it is given none.
+const unlimited = int(^uint(0) >> 2)
+
 // FeintingTACT runs the round recurrence of Equations (3) and (4) for an
 // initial pool of r1 rows: each round activates every remaining row once,
 // one TB-RFM retires the hottest row per ActsPerWindow activations
@@ -80,75 +83,134 @@ func (p Params) FeintingTACT(window ticks.T, r1, budget int) int {
 		return 0
 	}
 	if budget <= 0 {
-		budget = int(^uint(0) >> 2)
+		budget = unlimited
 	}
-	total := 0  // cumulative activations across all rounds
-	rounds := 0 // completed feinting rounds; the target gains one per round
-	remaining := r1
-	for remaining > 1 && total+remaining <= budget {
-		total += remaining
-		rounds++
-		remaining = r1 - total/w
-		if remaining < 1 {
-			remaining = 1
-		}
-	}
-	final := w
-	if left := budget - total; final > left {
-		final = left
-	}
-	if final < 0 {
-		final = 0
-	}
-	return rounds + final
+	rounds, total, _ := feintingRounds(w, r1, budget)
+	return rounds + min(w, budget-total)
 }
 
-// OptR1 finds the initial pool size maximizing TACT — Equation (5)'s
-// optimum under the reset budget, or the paper's 1..128K sweep without
-// reset. TACT(r1) is smooth, so a geometric sweep with local refinement
-// replaces the exhaustive scan. The scan serves the reset bound and the
-// empirical attack's pool size; TMax without reset needs no scan.
+// feintingRounds runs FeintingTACT's rounds for pool r1 (w >= 1, budget
+// >= 1) and returns how many completed, their cumulative activations, and
+// whether the budget, not the pool shrinking to the target, ended them.
+func feintingRounds(w, r1, budget int) (rounds, total int, budgetStop bool) {
+	for remaining := r1; remaining > 1; remaining = max(1, r1-total/w) {
+		if total+remaining > budget {
+			return rounds, total, true
+		}
+		total += remaining
+		rounds++
+	}
+	return rounds, total, false
+}
+
+// OptR1 returns the smallest initial pool size that maximizes TACT:
+// Equation (5)'s optimum under the per-tREFW budget with reset, or over
+// every row of the bank without. The empirical attack uses it as its pool.
 func (p Params) OptR1(window ticks.T, reset bool) int {
-	budget := 0
-	limit := p.RowsPerBank
+	_, pool := p.maxTACT(window, reset, true)
+	return pool
+}
+
+// maxTACT returns the largest FeintingTACT over the pools 1..limit, where
+// limit is RowsPerBank, capped by the budget B = MaxActsPerTREFW with
+// reset (without reset there is no budget), and a pool that attains it:
+// the smallest one if wantPool, which costs one more binary search. It is
+// exact. Let w = ActsPerWindow, T_k(r) the total after k rounds of pool r
+// and K(r) the rounds pool r runs without a budget (non-decreasing in r,
+// see FeintingTACT). Two facts bound the search:
+//
+//   - (a) For r <= ra = min(limit, ⌊(B-1)/w⌋) the budget never stops the
+//     rounds and the final window is whole, so TACT equals the unbudgeted
+//     TACT, which is non-decreasing. The rounds stop once T >= (r-1)·w and
+//     the last one starts below it, so with FeintingTACT's non-decreasing
+//     g, T_K(r) <= g((r-1)·w - 1) = (r-1)·w + 1 and T_K(r) + w <= r·w + 1
+//     <= B. The best pool on [1, ra] is ra; the smallest is found by
+//     binary search.
+//   - (b) T_k(r) is non-decreasing in r, because T + max(1, r - ⌊T/w⌋),
+//     one more round, is non-decreasing in both T and r. So if the budget
+//     ends pool r after k < K(r) rounds (T_{k+1}(r) > B), every larger
+//     pool r' stops after at most k rounds, and after exactly k while
+//     T_k(r') <= B. Along that run TACT = k + min(w, B - T_k(r')) cannot
+//     rise, so only its first pool can set a new maximum, and the next run
+//     starts at the first r' with T_k(r') > B, that is, the first pool
+//     stopped within k-1 rounds: a monotone predicate, found by
+//     galloping. No pool past r beats k - 1 + w, which ends the search.
+//
+// Above ra, a stop that is not the budget's needs (r-1)·w <= T_K(r) <= B,
+// which leaves at most two pools; they are evaluated one by one. At the
+// paper's device a reset TMax costs three recurrence runs and OptR1 under
+// twenty.
+func (p Params) maxTACT(window ticks.T, reset, wantPool bool) (tact, pool int) {
+	budget, limit := unlimited, p.RowsPerBank
 	if reset {
 		budget = p.MaxActsPerTREFW()
-		if budget < limit {
-			limit = budget
+		limit = min(limit, budget)
+	}
+	w := p.ActsPerWindow(window)
+	if w <= 0 || limit < 1 {
+		return p.FeintingTACT(window, 1, budget), 1
+	}
+	ra := min(limit, (budget-1)/w)
+	best, pool := 0, 1
+	if ra >= 1 {
+		best, pool = p.FeintingTACT(window, ra, budget), ra
+	}
+	for r := ra + 1; r <= limit; {
+		k, total, budgetStop := feintingRounds(w, r, budget)
+		if v := k + min(w, budget-total); v > best {
+			best, pool = v, r
 		}
-	}
-	best, bestVal := 1, 0
-	var candidates []int
-	for r := 1; r <= limit; r = r*5/4 + 1 {
-		candidates = append(candidates, r)
-	}
-	candidates = append(candidates, limit)
-	for _, r := range candidates {
-		if v := p.FeintingTACT(window, r, budget); v > bestVal {
-			best, bestVal = r, v
-		}
-	}
-	for r := best * 4 / 5; r <= best*5/4+1 && r <= limit; r++ {
-		if r < 1 {
+		if !budgetStop {
+			r++
 			continue
 		}
-		if v := p.FeintingTACT(window, r, budget); v > bestVal {
-			best, bestVal = r, v
+		if k-1+w <= best {
+			break
 		}
+		// Gallop to the first pool the budget stops within k-1 rounds.
+		over := func(x int) bool {
+			rounds, _, _ := feintingRounds(w, x, budget)
+			return rounds < k
+		}
+		lo, hi := r, r+1
+		for hi <= limit && !over(hi) {
+			lo, hi = hi, r+2*(hi-r)
+		}
+		hi = min(hi, limit+1)
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; over(mid) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		r = hi
 	}
-	return best
+	if wantPool && pool == ra {
+		lo, hi := 0, ra // TACT(hi) = best; TACT(lo) < best
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; p.FeintingTACT(window, mid, budget) >= best {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		pool = hi
+	}
+	return best, pool
 }
 
 // TMax is the worst-case activations to the target row for a TB-Window,
 // with or without per-tREFW counter reset (the paper's Figure 7). Without
 // reset, TACT is non-decreasing in the pool size (see FeintingTACT), so
-// the largest pool, every row of the bank, attains the maximum OptR1
-// would search for.
+// the largest pool, every row of the bank, attains the maximum; with
+// reset, maxTACT searches the pools exactly.
 func (p Params) TMax(window ticks.T, reset bool) int {
 	if !reset {
 		return p.FeintingTACT(window, p.RowsPerBank, 0)
 	}
-	return p.FeintingTACT(window, p.OptR1(window, true), p.MaxActsPerTREFW())
+	tact, _ := p.maxTACT(window, true, false)
+	return tact
 }
 
 // SolveWindow returns the largest TB-Window (a multiple of step) for which
@@ -161,6 +223,11 @@ func (p Params) SolveWindow(nbo int, reset bool, step ticks.T) (ticks.T, error) 
 	}
 	if nbo <= 0 {
 		return 0, fmt.Errorf("analysis: NBO must be positive, got %d", nbo)
+	}
+	// With reset, TACT = rounds + min(w, B - total) <= B, so TMax never
+	// reaches an NBO above B and no window would bound the search.
+	if b := p.MaxActsPerTREFW(); reset && nbo > b {
+		return 0, fmt.Errorf("analysis: NBO %d exceeds the %d activations one tREFW allows: with counter reset every TB-Window is safe", nbo, b)
 	}
 	if step <= 0 {
 		step = p.TREFI / 20

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"flag"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +150,16 @@ func TestSolveWindowErrors(t *testing.T) {
 	if _, err := bad.SolveWindow(1024, true, 0); err == nil {
 		t.Error("invalid params accepted")
 	}
+	// An NBO above the per-tREFW budget is unreachable with reset: an
+	// error, not an endless search for an unsafe window.
+	scaled := p
+	scaled.TREFW = ticks.FromMS(2)
+	if _, err := scaled.SolveWindow(scaled.MaxActsPerTREFW()+1, true, 0); err == nil {
+		t.Error("NBO above MAXACT(tREFW) accepted with reset")
+	}
+	if _, err := scaled.SolveWindow(scaled.MaxActsPerTREFW(), true, 0); err != nil {
+		t.Errorf("NBO = MAXACT(tREFW): %v", err)
+	}
 }
 
 // Property: TACT never exceeds the pool-1 rounds plus one full window, and
@@ -257,6 +269,128 @@ func TestTMaxNoResetMatchesScan(t *testing.T) {
 		w := ticks.T(k) * step
 		if got, want := p.TMax(w, false), tmaxByScan(p, w); got != want {
 			t.Errorf("window %v: TMax(no reset) = %d, scan = %d", w, got, want)
+		}
+	}
+}
+
+// fullScan widens the exhaustive-scan oracles from a strided sample to
+// every default window and many more random devices (seconds, not
+// milliseconds): go test ./internal/analysis -args -fullscan
+var fullScan = flag.Bool("fullscan", false, "check the reset-bound TMax and OptR1 against the exhaustive pool scan at all 120 default windows and 20000 random devices")
+
+// tmaxResetByScan is the reset-bound TMax and the smallest pool attaining
+// it, by evaluating TACT for every pool 1..min(RowsPerBank,
+// MaxActsPerTREFW).
+func tmaxResetByScan(p Params, window ticks.T) (tact, pool int) {
+	budget := p.MaxActsPerTREFW()
+	pool = 1
+	for r := 1; r <= min(p.RowsPerBank, budget); r++ {
+		if v := p.FeintingTACT(window, r, budget); v > tact {
+			tact, pool = v, r
+		}
+	}
+	return tact, pool
+}
+
+// The reset-bound TMax and OptR1's pool equal the exhaustive scan at the
+// default windows k·tREFI/20: every 12th k (k = 1, 13, ..., 109), or
+// every k = 1..120 with -fullscan.
+func TestTMaxResetMatchesScan(t *testing.T) {
+	p := DefaultParams()
+	step, stride := p.TREFI/20, 12
+	if *fullScan {
+		stride = 1
+	}
+	for k := 1; k <= 120; k += stride {
+		w := ticks.T(k) * step
+		tact, pool := tmaxResetByScan(p, w)
+		if got := p.TMax(w, true); got != tact {
+			t.Errorf("window %v: TMax(reset) = %d, scan = %d", w, got, tact)
+		}
+		if got := p.OptR1(w, true); got != pool {
+			t.Errorf("window %v: OptR1(reset) = %d, scan's smallest argmax = %d", w, got, pool)
+		}
+	}
+}
+
+// randomSmallParams draws a device with at most 3000 rows per bank and a
+// per-tREFW budget anywhere from a few activations to many times the
+// bank (tREFW may be shorter than tREFI), so that the budget binds after
+// a few rounds, after many, or never.
+func randomSmallParams(rng *rand.Rand) Params {
+	p := Params{
+		TRC:         ticks.T(1 + rng.Intn(64)),
+		TREFI:       ticks.T(100 + rng.Intn(4000)),
+		RowsPerBank: 1 + rng.Intn(3000),
+	}
+	p.TRFC = ticks.T(rng.Int63n(int64(p.TREFI) * 3 / 4))
+	p.TREFW = p.TREFI*ticks.T(rng.Intn(1<<rng.Intn(12))) + ticks.T(rng.Int63n(int64(p.TREFI)))
+	return p
+}
+
+// Property: on random small devices and windows, the reset-bound TMax and
+// OptR1 equal the exhaustive scan, and the no-reset OptR1 is the smallest
+// pool reaching the no-reset TMax (TACT is non-decreasing there).
+func TestMaxTACTMatchesScanProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	n := 300
+	if *fullScan {
+		n = 20000
+	}
+	for i := 0; i < n; i++ {
+		p := randomSmallParams(rng)
+		if p.MaxActsPerTREFW() < 1 {
+			continue
+		}
+		w := ticks.T(1+rng.Intn(512))*p.TRC + ticks.T(rng.Int63n(int64(p.TRC)))
+		tact, pool := tmaxResetByScan(p, w)
+		if got := p.TMax(w, true); got != tact {
+			t.Fatalf("%+v window %v: TMax(reset) = %d, scan = %d", p, w, got, tact)
+		}
+		if got := p.OptR1(w, true); got != pool {
+			t.Fatalf("%+v window %v: OptR1(reset) = %d, scan's smallest argmax = %d", p, w, got, pool)
+		}
+		top, r := p.TMax(w, false), p.OptR1(w, false)
+		if p.FeintingTACT(w, r, 0) != top || (r > 1 && p.FeintingTACT(w, r-1, 0) == top) {
+			t.Fatalf("%+v window %v: OptR1(no reset) = %d is not the smallest pool reaching %d", p, w, r, top)
+		}
+	}
+}
+
+// OptR1's pools at the solved TB-Windows. The scaled-tREFW (2 ms) rows are
+// the pools `secanalysis -empirical` and examples/defensetuning attack
+// with; the default-device rows are Figures 10-14's windows.
+func TestOptR1Golden(t *testing.T) {
+	scaled := DefaultParams()
+	scaled.TREFW = ticks.FromMS(2)
+	for _, tc := range []struct {
+		p      Params
+		window float64 // ns
+		reset  bool
+		pool   int
+	}{
+		{scaled, 390, true, 4476},
+		{scaled, 780, true, 2256},
+		{scaled, 1755, true, 1036},
+		{scaled, 3900, true, 458},
+		{scaled, 8970, true, 200},
+		{scaled, 21255, true, 84},
+		{scaled, 51675, true, 34},
+		{DefaultParams(), 585, true, 48699},
+		{DefaultParams(), 1170, true, 24415},
+		{DefaultParams(), 2730, true, 10547},
+		{DefaultParams(), 5850, true, 4899},
+		{DefaultParams(), 12870, true, 2227},
+		{DefaultParams(), 28470, true, 1005},
+		{DefaultParams(), 390, false, 113960},
+		{DefaultParams(), 975, false, 126584},
+		{DefaultParams(), 2145, false, 128617},
+		{DefaultParams(), 4290, false, 129808},
+		{DefaultParams(), 8580, false, 131026},
+		{DefaultParams(), 17160, false, 131034},
+	} {
+		if got := tc.p.OptR1(ticks.FromNS(tc.window), tc.reset); got != tc.pool {
+			t.Errorf("OptR1(%vns, reset=%v) with tREFW %v = %d, want %d", tc.window, tc.reset, tc.p.TREFW, got, tc.pool)
 		}
 	}
 }

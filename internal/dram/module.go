@@ -165,16 +165,6 @@ func (m *Module) RowCounter(bankIdx, row int) uint32 {
 	return m.banks[bankIdx].counters[row]
 }
 
-// HottestRow reports the row with the highest live counter in a bank.
-func (m *Module) HottestRow(bankIdx int) (row int, count uint32) {
-	for r, c := range m.banks[bankIdx].counters {
-		if c > count || (c == count && r < row) {
-			row, count = r, c
-		}
-	}
-	return row, count
-}
-
 // ChannelBlockedUntil reports when the channel-wide RFM block ends.
 func (m *Module) ChannelBlockedUntil() ticks.T { return m.channelBlockedUntil }
 

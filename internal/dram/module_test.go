@@ -274,16 +274,6 @@ func TestNoResetWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestHottestRow(t *testing.T) {
-	m := MustNew(smallConfig(1 << 30))
-	end := hammer(t, m, 0, 4, 2, 0)
-	hammer(t, m, 0, 8, 5, end)
-	row, count := m.HottestRow(0)
-	if row != 8 || count != 5 {
-		t.Fatalf("HottestRow = %d,%d; want 8,5", row, count)
-	}
-}
-
 func TestIllegalIssuePanics(t *testing.T) {
 	m := MustNew(smallConfig(1024))
 	defer func() {
